@@ -30,12 +30,18 @@ pub fn user_addr() -> SiteAddr {
 pub enum SimRunError {
     /// The DISQL text did not parse/validate.
     Parse(DisqlError),
+    /// A workload plans submissions but its query mix has no template
+    /// with a positive weight to draw them from.
+    EmptyQueryMix,
 }
 
 impl fmt::Display for SimRunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimRunError::Parse(e) => write!(f, "{e}"),
+            SimRunError::EmptyQueryMix => {
+                write!(f, "query mix has no template with a positive weight")
+            }
         }
     }
 }

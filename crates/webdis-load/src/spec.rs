@@ -140,10 +140,10 @@ impl QueryMix {
         }
     }
 
-    /// Draws one template index proportional to weight.
+    /// Draws one template index proportional to weight. The mix must
+    /// have a positive total weight, which [`WorkloadSpec::plan`] checks.
     fn draw(&self, rng: &mut StdRng) -> usize {
         let total: u64 = self.templates.iter().map(|(_, w)| *w as u64).sum();
-        assert!(total > 0, "query mix needs at least one weighted template");
         let mut ticket = rng.gen_range(0..total);
         for (i, (_, w)) in self.templates.iter().enumerate() {
             if ticket < *w as u64 {
@@ -221,8 +221,13 @@ pub struct UserPlan {
 
 impl WorkloadSpec {
     /// Expands the spec into per-user schedules. Parses every template
-    /// once up front so bad DISQL surfaces before anything runs.
+    /// once up front so bad DISQL surfaces before anything runs, and
+    /// refuses a mix with no positive weight when any submission is
+    /// planned.
     pub fn plan(&self) -> Result<Vec<UserPlan>, SimRunError> {
+        if self.total_queries() > 0 && self.mix.templates.iter().all(|(_, w)| *w == 0) {
+            return Err(SimRunError::EmptyQueryMix);
+        }
         let parsed: Vec<WebQuery> = self
             .mix
             .templates
@@ -276,6 +281,26 @@ mod tests {
     use super::*;
 
     const Q: &str = r#"select d.url from document d such that "http://site0.test/doc0.html" L* d"#;
+
+    #[test]
+    fn empty_or_zero_weight_mix_is_an_error_not_a_panic() {
+        let spec = WorkloadSpec::default();
+        assert!(matches!(spec.plan(), Err(SimRunError::EmptyQueryMix)));
+        let zero = WorkloadSpec {
+            mix: QueryMix::default().with(Q, 0),
+            ..WorkloadSpec::default()
+        };
+        assert!(matches!(zero.plan(), Err(SimRunError::EmptyQueryMix)));
+        let idle = WorkloadSpec {
+            queries_per_user: 0,
+            ..WorkloadSpec::default()
+        };
+        assert!(idle
+            .plan()
+            .unwrap()
+            .iter()
+            .all(|p| p.submissions.is_empty()));
+    }
 
     #[test]
     fn plan_is_seed_deterministic() {

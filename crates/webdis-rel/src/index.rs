@@ -3,10 +3,11 @@
 //! The paper's Database Constructor materializes DOCUMENT/ANCHOR/RELINFON
 //! per node and the evaluator scans them; that is fine for 1999-sized
 //! pages but hopeless once a site's index page carries 10^5 anchors. These
-//! sidecar indexes are built once per [`crate::relation::NodeDb`] (and so
-//! live exactly as long as the footnote-3 document cache keeps the
-//! database) and let the planner turn `contains` and equality conjuncts
-//! into posting-list probes.
+//! sidecar indexes let the planner turn `contains` and equality conjuncts
+//! into posting-list probes. Each one is built on the first probe of its
+//! column and kept in its [`crate::relation::NodeDb`],
+//! so it lives exactly as long as the footnote-3 document cache keeps the
+//! database, and a visit never pays for a column it does not probe.
 //!
 //! Two index shapes cover the predicate language:
 //!
@@ -30,31 +31,43 @@
 //! the order the cross-product scan would.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use crate::query::RelKind;
-use crate::relation::Relation;
+use crate::relation::{NodeDb, Relation};
 
-/// Which columns of each relation get which index. Hash columns serve
-/// equality probes; text columns serve `contains` probes.
-const INDEXED_COLUMNS: &[(RelKind, &[&str], &[&str])] = &[
-    (RelKind::Document, &["url"], &["title", "text"]),
-    (RelKind::Anchor, &["href", "ltype"], &["label"]),
-    (RelKind::Relinfon, &["delimiter", "url"], &["text"]),
+/// The hash-indexed columns, which serve equality probes.
+const HASH_COLUMNS: [(RelKind, &str); 5] = [
+    (RelKind::Document, "url"),
+    (RelKind::Anchor, "href"),
+    (RelKind::Anchor, "ltype"),
+    (RelKind::Relinfon, "delimiter"),
+    (RelKind::Relinfon, "url"),
 ];
+
+/// The text-indexed columns, which serve `contains` probes.
+const TEXT_COLUMNS: [(RelKind, &str); 4] = [
+    (RelKind::Document, "title"),
+    (RelKind::Document, "text"),
+    (RelKind::Anchor, "label"),
+    (RelKind::Relinfon, "text"),
+];
+
+/// Position of `kind.attr` (case-insensitive) in a column table.
+fn configured(cols: &[(RelKind, &str)], kind: RelKind, attr: &str) -> Option<usize> {
+    cols.iter()
+        .position(|(k, c)| *k == kind && c.eq_ignore_ascii_case(attr))
+}
 
 /// True when `kind.attr` is configured for a hash (equality) index — the
 /// planner's admissibility check, independent of any particular database.
 pub fn hash_indexed(kind: RelKind, attr: &str) -> bool {
-    INDEXED_COLUMNS
-        .iter()
-        .any(|(k, hash, _)| *k == kind && hash.iter().any(|c| c.eq_ignore_ascii_case(attr)))
+    configured(&HASH_COLUMNS, kind, attr).is_some()
 }
 
 /// True when `kind.attr` is configured for an inverted text index.
 pub fn text_indexed(kind: RelKind, attr: &str) -> bool {
-    INDEXED_COLUMNS
-        .iter()
-        .any(|(k, _, text)| *k == kind && text.iter().any(|c| c.eq_ignore_ascii_case(attr)))
+    configured(&TEXT_COLUMNS, kind, attr).is_some()
 }
 
 /// Equality index: exact rendered value → ascending tuple indices.
@@ -178,84 +191,73 @@ pub(crate) fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// The indexes of one relation, keyed by lowercase column name.
+/// The indexes of one node's database: one slot per configured column,
+/// empty until the first probe of that column fills it.
+///
+/// `NodeDb::build` only declares the slots, so a visit pays for exactly
+/// the indexes its node-query probes. Filled slots live as long as the
+/// `NodeDb`, so the footnote-3 document cache keeps them for every later
+/// query it serves, and a clone keeps the slots it had.
 #[derive(Debug, Clone, Default)]
-pub struct RelIndexes {
-    hash: HashMap<String, HashIndex>,
-    text: HashMap<String, TextIndex>,
+pub(crate) struct DbIndexes {
+    hash: [OnceLock<HashIndex>; HASH_COLUMNS.len()],
+    text: [OnceLock<TextIndex>; TEXT_COLUMNS.len()],
 }
 
-impl RelIndexes {
-    fn build(rel: &Relation, hash_cols: &[&str], text_cols: &[&str]) -> RelIndexes {
-        let mut out = RelIndexes::default();
-        for name in hash_cols {
-            if let Some(col) = rel.schema.column_index(name) {
-                out.hash
-                    .insert((*name).to_owned(), HashIndex::build(rel, col));
-            }
-        }
-        for name in text_cols {
-            if let Some(col) = rel.schema.column_index(name) {
-                out.text
-                    .insert((*name).to_owned(), TextIndex::build(rel, col));
-            }
-        }
-        out
-    }
-
-    /// The equality index on `attr`, if that column is hash-indexed.
-    pub fn hash(&self, attr: &str) -> Option<&HashIndex> {
-        self.hash.get(&attr.to_ascii_lowercase())
-    }
-
-    /// The text index on `attr`, if that column is text-indexed.
-    pub fn text(&self, attr: &str) -> Option<&TextIndex> {
-        self.text.get(&attr.to_ascii_lowercase())
-    }
+/// The slot of `cols` configured for `kind.attr`, built from `db` on first
+/// use.
+fn get_or_build<'a, T>(
+    slots: &'a [OnceLock<T>],
+    cols: &[(RelKind, &str)],
+    db: &'a NodeDb,
+    kind: RelKind,
+    attr: &str,
+    build: fn(&Relation, usize) -> T,
+) -> Option<&'a T> {
+    let slot = configured(cols, kind, attr)?;
+    let rel = db.relation(kind);
+    let col = rel.schema.column_index(attr)?;
+    Some(slots[slot].get_or_init(|| build(rel, col)))
 }
 
-/// All indexes of one node's database, built alongside the virtual
-/// relations in the Database Constructor pass.
-#[derive(Debug, Clone, Default)]
-pub struct DbIndexes {
-    /// Indexes over DOCUMENT.
-    pub document: RelIndexes,
-    /// Indexes over ANCHOR.
-    pub anchor: RelIndexes,
-    /// Indexes over RELINFON.
-    pub relinfon: RelIndexes,
-}
-
-impl DbIndexes {
-    /// Builds every configured index for the three relations.
-    pub fn build(document: &Relation, anchor: &Relation, relinfon: &Relation) -> DbIndexes {
-        let mut out = DbIndexes::default();
-        for (kind, hash_cols, text_cols) in INDEXED_COLUMNS {
-            let (slot, rel) = match kind {
-                RelKind::Document => (&mut out.document, document),
-                RelKind::Anchor => (&mut out.anchor, anchor),
-                RelKind::Relinfon => (&mut out.relinfon, relinfon),
-            };
-            *slot = RelIndexes::build(rel, hash_cols, text_cols);
-        }
-        out
+impl NodeDb {
+    /// The equality index on `kind.attr`, built by this call if it is the
+    /// column's first probe; `None` when the column is not hash-indexed.
+    pub(crate) fn hash_index(&self, kind: RelKind, attr: &str) -> Option<&HashIndex> {
+        get_or_build(
+            &self.indexes.hash,
+            &HASH_COLUMNS,
+            self,
+            kind,
+            attr,
+            HashIndex::build,
+        )
     }
 
-    /// The index set for one relation kind.
-    pub fn for_kind(&self, kind: RelKind) -> &RelIndexes {
-        match kind {
-            RelKind::Document => &self.document,
-            RelKind::Anchor => &self.anchor,
-            RelKind::Relinfon => &self.relinfon,
-        }
+    /// The inverted text index on `kind.attr`, built by this call if it is
+    /// the column's first probe; `None` when the column is not
+    /// text-indexed.
+    pub(crate) fn text_index(&self, kind: RelKind, attr: &str) -> Option<&TextIndex> {
+        get_or_build(
+            &self.indexes.text,
+            &TEXT_COLUMNS,
+            self,
+            kind,
+            attr,
+            TextIndex::build,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Expr;
+    use crate::query::{eval_node_query, NodeQuery, VarDecl};
     use crate::relation::ANCHOR_SCHEMA;
     use crate::value::{Tuple, Value};
+    use webdis_html::parse_html;
+    use webdis_model::Url;
 
     fn anchors(labels: &[(&str, &str, &str)]) -> Relation {
         Relation {
@@ -332,5 +334,99 @@ mod tests {
         assert_eq!(intersect_sorted(&[1, 3, 5, 9], &[2, 3, 9]), vec![3, 9]);
         assert_eq!(intersect_sorted(&[], &[1]), Vec::<u32>::new());
         assert_eq!(union_sorted(&[&[1, 4], &[2, 4, 7]]), vec![1, 2, 4, 7]);
+    }
+
+    fn lab_db() -> NodeDb {
+        NodeDb::build(
+            &Url::parse("http://h/labs.html").unwrap(),
+            &parse_html(
+                r#"<title>Index of Labs</title>
+                <a href="http://x/">Database Lab</a><a href="b.html">Local</a>"#,
+            ),
+        )
+    }
+
+    /// The configured columns whose index slot is filled, hash columns
+    /// first, each group in configuration order.
+    fn built(db: &NodeDb) -> Vec<(RelKind, &'static str)> {
+        let hash = HASH_COLUMNS.iter().zip(&db.indexes.hash);
+        let text = TEXT_COLUMNS.iter().zip(&db.indexes.text);
+        let hash = hash.filter(|(_, s)| s.get().is_some()).map(|(c, _)| *c);
+        let text = text.filter(|(_, s)| s.get().is_some()).map(|(c, _)| *c);
+        hash.chain(text).collect()
+    }
+
+    /// `select d.url from document d where d.title contains <needle>`.
+    fn title_contains(needle: &str) -> NodeQuery {
+        NodeQuery {
+            vars: vec![VarDecl {
+                name: "d".into(),
+                kind: RelKind::Document,
+                cond: None,
+            }],
+            where_cond: Some(Expr::Contains(
+                Box::new(Expr::Attr {
+                    var: "d".into(),
+                    attr: "title".into(),
+                }),
+                Box::new(Expr::StrLit(needle.into())),
+            )),
+            select: vec![("d".into(), "url".into())],
+        }
+    }
+
+    #[test]
+    fn fresh_node_db_has_no_index_built() {
+        assert!(built(&lab_db()).is_empty());
+    }
+
+    #[test]
+    fn title_probe_builds_only_the_title_index() {
+        let db = lab_db();
+        assert_eq!(
+            eval_node_query(&db, &title_contains("labs")).unwrap().len(),
+            1
+        );
+        assert_eq!(built(&db), vec![(RelKind::Document, "title")]);
+    }
+
+    #[test]
+    fn second_probe_reuses_the_built_index() {
+        let db = lab_db();
+        eval_node_query(&db, &title_contains("labs")).unwrap();
+        let first: *const TextIndex = db.text_index(RelKind::Document, "TITLE").unwrap();
+        assert!(eval_node_query(&db, &title_contains("zzz"))
+            .unwrap()
+            .is_empty());
+        let second: *const TextIndex = db.text_index(RelKind::Document, "title").unwrap();
+        assert!(std::ptr::eq(first, second));
+        assert_eq!(built(&db), vec![(RelKind::Document, "title")]);
+    }
+
+    #[test]
+    fn clone_keeps_the_slots_it_had() {
+        let db = lab_db();
+        eval_node_query(&db, &title_contains("labs")).unwrap();
+        let copy = db.clone();
+        assert_eq!(built(&copy), vec![(RelKind::Document, "title")]);
+        assert_eq!(
+            copy.hash_index(RelKind::Anchor, "ltype")
+                .unwrap()
+                .probe("G"),
+            &[0]
+        );
+        assert_eq!(
+            built(&copy),
+            vec![(RelKind::Anchor, "ltype"), (RelKind::Document, "title")]
+        );
+        assert_eq!(built(&db), vec![(RelKind::Document, "title")]);
+    }
+
+    #[test]
+    fn unconfigured_column_has_no_slot() {
+        let db = lab_db();
+        assert!(db.hash_index(RelKind::Anchor, "base").is_none());
+        assert!(db.text_index(RelKind::Anchor, "href").is_none());
+        assert!(built(&db).is_empty());
     }
 }

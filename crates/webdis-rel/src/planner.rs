@@ -12,7 +12,9 @@
 //! 2. it is `attr = "literal"` with a non-numeric literal (hash index) or
 //!    `attr contains "literal"` with a single-alphanumeric-run literal
 //!    (text index);
-//! 3. that column is indexed in [`crate::index::DbIndexes`].
+//! 3. that column is configured for an index
+//!    ([`crate::index::hash_indexed`], [`crate::index::text_indexed`]).
+//!    The index itself is built on the column's first probe.
 //!
 //! Everything else stays a residual filter evaluated per candidate, and a
 //! level with no probes falls back to the full scan of its relation — the
@@ -158,8 +160,9 @@ fn as_probe(kind: crate::query::RelKind, var_at_level: &str, e: &Expr) -> Option
 /// Compiles a node-query into a [`Plan`].
 ///
 /// Compilation is per-query and cheap (it walks the predicate trees once);
-/// the expensive artifacts — the indexes — live on the [`NodeDb`] and are
-/// shared by every query the footnote-3 cache serves from that node.
+/// the expensive artifacts — the indexes — are built on first probe, live
+/// on the [`NodeDb`] and are shared by every query the footnote-3 cache
+/// serves from that node.
 /// Probe admissibility is decided against the *schema-level* index
 /// configuration, which is identical for every `NodeDb`, so a `Plan` is
 /// valid for any database.
@@ -271,27 +274,23 @@ impl Plan {
     }
 
     /// Candidate tuple indices for one level: posting-list intersection
-    /// when probes exist, the whole relation otherwise.
+    /// when probes exist, the whole relation otherwise. A probe of a
+    /// column whose index is not built yet builds it into `db`.
     fn candidates(&self, db: &NodeDb, level: usize) -> Candidates {
         let probes = &self.probes[level];
+        let kind = self.query.vars[level].kind;
         if probes.is_empty() {
-            let n = match self.query.vars[level].kind {
-                crate::query::RelKind::Document => db.document.len(),
-                crate::query::RelKind::Anchor => db.anchor.len(),
-                crate::query::RelKind::Relinfon => db.relinfon.len(),
-            };
-            return Candidates::Scan(n);
+            return Candidates::Scan(db.relation(kind).len());
         }
-        let idx = db.indexes.for_kind(self.query.vars[level].kind);
         let mut acc: Option<Vec<u32>> = None;
         for p in probes {
             let postings: Vec<u32> = match p {
-                Probe::HashEq { attr, value } => idx
-                    .hash(attr)
+                Probe::HashEq { attr, value } => db
+                    .hash_index(kind, attr)
                     .map(|h| h.probe(value).to_vec())
                     .unwrap_or_default(),
-                Probe::TextContains { attr, needle } => idx
-                    .text(attr)
+                Probe::TextContains { attr, needle } => db
+                    .text_index(kind, attr)
                     .and_then(|t| t.probe_contains(needle))
                     .unwrap_or_default(),
             };

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use crate::expr::{Bindings, EvalError, Expr};
-use crate::relation::{NodeDb, Relation};
+use crate::relation::NodeDb;
 use crate::value::Value;
 
 /// Which virtual relation a variable ranges over.
@@ -180,14 +180,6 @@ impl<'a> Env<'a> {
         }
     }
 
-    pub(crate) fn relation(&self, kind: RelKind) -> &'a Relation {
-        match kind {
-            RelKind::Document => &self.db.document,
-            RelKind::Anchor => &self.db.anchor,
-            RelKind::Relinfon => &self.db.relinfon,
-        }
-    }
-
     /// Projects the fully-bound environment onto the select list.
     pub(crate) fn project(&self, select: &[(String, String)]) -> Result<ResultRow, EvalError> {
         let mut values = Vec::with_capacity(select.len());
@@ -205,7 +197,7 @@ impl Bindings for Env<'_> {
     fn lookup(&self, var: &str, attr: &str) -> Option<Value> {
         let idx = self.decls.iter().position(|d| d.name == var)?;
         let tuple_idx = self.bound[idx]?;
-        let rel = self.relation(self.decls[idx].kind);
+        let rel = self.db.relation(self.decls[idx].kind);
         let col = rel.schema.column_index(attr)?;
         rel.tuples[tuple_idx].get(col).cloned()
     }
@@ -325,7 +317,7 @@ fn eval_level(
         rows.push(env.project(&q.select)?);
         return Ok(());
     }
-    let n = env.relation(q.vars[level].kind).len();
+    let n = env.db.relation(q.vars[level].kind).len();
     for tuple_idx in 0..n {
         *visited += 1;
         env.bound[level] = Some(tuple_idx);

@@ -5,6 +5,7 @@ use webdis_html::ParsedDoc;
 use webdis_model::{Link, LinkType, Url};
 
 use crate::index::DbIndexes;
+use crate::query::RelKind;
 use crate::value::{Tuple, Value};
 
 /// A relation schema: a name and ordered column names.
@@ -88,10 +89,11 @@ pub struct NodeDb {
     /// the engine for query forwarding (the paper's "construct the anchor
     /// table for node", Figure 4 line 9).
     pub links: Vec<Link>,
-    /// Sidecar indexes over the three relations, built in the same
-    /// constructor pass. The footnote-3 document cache keeps the whole
-    /// `NodeDb`, so indexes persist across every query served from cache.
-    pub indexes: DbIndexes,
+    /// Sidecar indexes over the three relations, each built on the first
+    /// probe of its column. The footnote-3 document cache keeps the whole
+    /// `NodeDb`, so a built index persists across every query served from
+    /// cache.
+    pub(crate) indexes: DbIndexes,
 }
 
 impl NodeDb {
@@ -137,14 +139,22 @@ impl NodeDb {
             ]));
         }
 
-        let indexes = DbIndexes::build(&document, &anchor, &relinfon);
         NodeDb {
             url: base,
             document,
             anchor,
             relinfon,
             links,
-            indexes,
+            indexes: DbIndexes::default(),
+        }
+    }
+
+    /// The virtual relation of the given kind.
+    pub(crate) fn relation(&self, kind: RelKind) -> &Relation {
+        match kind {
+            RelKind::Document => &self.document,
+            RelKind::Anchor => &self.anchor,
+            RelKind::Relinfon => &self.relinfon,
         }
     }
 

@@ -229,7 +229,7 @@ pub fn replay_bindings(
             return Err(EvalError::new("cached binding arity mismatch"));
         }
         for (level, &tuple) in binding.iter().enumerate() {
-            if (tuple as usize) >= env.relation(q.vars[level].kind).len() {
+            if (tuple as usize) >= env.db.relation(q.vars[level].kind).len() {
                 return Err(EvalError::new("cached binding index out of range"));
             }
             env.bound[level] = Some(tuple as usize);

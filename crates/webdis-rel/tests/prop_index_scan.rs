@@ -5,7 +5,9 @@
 //! order — including the shapes that force scan fallback (non-indexable
 //! needles, numeric-looking equality literals, unindexed columns,
 //! cross-variable conditions) and the shapes where a probe yields empty
-//! postings.
+//! postings. Indexes are built on first probe, so one property also runs
+//! query sequences against a shared database whose index slots earlier
+//! queries have already filled.
 
 use proptest::prelude::*;
 use webdis_html::parse_html;
@@ -250,5 +252,30 @@ proptest! {
         let (probe_rows, _) =
             eval_node_query_with_stats(&db, &query).expect("planner evaluates");
         prop_assert_eq!(probe_rows, scan_rows);
+    }
+
+    /// Several generated queries run in turn against one shared
+    /// `NodeDb`, so each probe meets whatever index slots the earlier
+    /// queries filled. Every query must return the rows of the scan on a
+    /// freshly built database, with the same work counters as the
+    /// planner on a fresh one — on the way through and again in reverse.
+    #[test]
+    fn shared_db_query_sequences_match_fresh_scans(
+        spec in doc_spec(),
+        queries in prop::collection::vec((condition(), placement()), 2..8),
+    ) {
+        let shared = build_db(&spec);
+        let queries: Vec<NodeQuery> =
+            queries.into_iter().map(|(c, p)| query_with(c, p)).collect();
+        for query in queries.iter().chain(queries.iter().rev()) {
+            let (scan_rows, _) = eval_node_query_scan_with_stats(&build_db(&spec), query)
+                .expect("scan evaluates");
+            let (_, fresh_stats) =
+                eval_node_query_with_stats(&build_db(&spec), query).expect("planner evaluates");
+            let (rows, stats) =
+                eval_node_query_with_stats(&shared, query).expect("planner evaluates");
+            prop_assert_eq!(rows, scan_rows);
+            prop_assert_eq!(stats, fresh_stats);
+        }
     }
 }
