@@ -2,12 +2,14 @@
 //! oracle verdict — plus the TCP smoke scenario that pushes the same
 //! fault surface through real sockets.
 
+use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Duration;
 
 use webdis_bench::doctor;
 use webdis_core::{run_query_tcp_faulty, EngineConfig, ExpiryPolicy, SimRunError, TcpFaultPlan};
 use webdis_load::{run_workload_sim, run_workload_sim_live, WorkloadOutcome};
+use webdis_model::Fnv1a;
 use webdis_trace::{TraceHandle, TraceRecord};
 use webdis_web::LiveWeb;
 
@@ -122,16 +124,12 @@ pub fn run_plan(plan: &ChaosPlan) -> Result<ChaosReport, SimRunError> {
 /// FNV-1a over the verdict lines: the sweep digest two runs of the
 /// same master seed must agree on, byte for byte.
 pub fn verdict_digest(lines: &[String]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::default();
     for line in lines {
-        for b in line.as_bytes() {
-            hash ^= u64::from(*b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash ^= u64::from(b'\n');
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash.write(line.as_bytes());
+        hash.write(b"\n");
     }
-    hash
+    hash.finish()
 }
 
 /// The query the TCP smoke runs (the paper's campus example).

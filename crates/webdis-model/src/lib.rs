@@ -11,14 +11,17 @@
 //!   (plus the *null* pseudo-link used only inside path regular expressions).
 //! * [`Link`] and [`WebGraph`] — the Web modelled as a directed graph whose
 //!   vertices are nodes (web resources) and whose edges are typed links.
+//! * [`Fnv1a`] — the one digest hash, behind every pinned replay digest.
 //!
 //! Everything here is plain data with no I/O; the hosting substrate
 //! (`webdis-web`) and the engine (`webdis-core`) build on these types.
 
+pub mod fnv;
 pub mod graph;
 pub mod link;
 pub mod url;
 
+pub use fnv::Fnv1a;
 pub use graph::{NodeInfo, WebGraph};
 pub use link::{Link, LinkType};
 pub use url::{SiteAddr, Url, UrlParseError};

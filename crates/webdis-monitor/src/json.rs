@@ -1,75 +1,37 @@
 //! JSON rendering for the monitor's read-side views.
 //!
-//! Everything is emitted by hand (no serde in the offline workspace)
-//! over `BTreeMap`-ordered state, so the same monitor state always
-//! renders to the same bytes — the property the determinism scenarios
-//! pin. Numbers are unsigned integers only; fractional signals travel
-//! as fixed-point milli-units.
+//! Everything is emitted through the shared `webdis_trace::json`
+//! writer over `BTreeMap`-ordered state, so the same monitor state
+//! always renders to the same bytes — the property the determinism
+//! scenarios pin. Numbers are unsigned integers only; fractional
+//! signals travel as fixed-point milli-units.
 
-use std::fmt::Write as _;
+use webdis_trace::json::{array, ObjectWriter};
 
 use crate::{Monitor, WindowRow};
 
-/// Escapes a string for embedding inside a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+fn write_row(out: &mut String, row: &WindowRow) {
+    let mut obj = ObjectWriter::new(out);
+    obj.num("index", row.index).num("end_us", row.end_us);
+    for (name, values) in [("counters", &row.counters), ("gauges", &row.gauges)] {
+        let mut map = ObjectWriter::new(obj.key(name));
+        for (key, value) in values {
+            map.num(key, *value);
         }
+        map.end();
     }
-    out
-}
-
-fn push_map(out: &mut String, entries: impl Iterator<Item = (String, String)>) {
-    out.push('{');
-    let mut first = true;
-    for (key, value) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{}\":{}", esc(&key), value);
+    let mut quantiles = ObjectWriter::new(obj.key("quantiles"));
+    for (key, q) in &row.quantiles {
+        let mut entry = ObjectWriter::new(quantiles.key(key));
+        entry
+            .num("count", q.count)
+            .num("sum", q.sum)
+            .num("p50", q.p50)
+            .num("p95", q.p95);
+        entry.end();
     }
-    out.push('}');
-}
-
-fn row_json(row: &WindowRow) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"index\":{},\"end_us\":{}", row.index, row.end_us);
-    out.push_str(",\"counters\":");
-    push_map(
-        &mut out,
-        row.counters.iter().map(|(k, v)| (k.clone(), v.to_string())),
-    );
-    out.push_str(",\"gauges\":");
-    push_map(
-        &mut out,
-        row.gauges.iter().map(|(k, v)| (k.clone(), v.to_string())),
-    );
-    out.push_str(",\"quantiles\":");
-    push_map(
-        &mut out,
-        row.quantiles.iter().map(|(k, q)| {
-            (
-                k.clone(),
-                format!(
-                    "{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{}}}",
-                    q.count, q.sum, q.p50, q.p95
-                ),
-            )
-        }),
-    );
-    out.push('}');
-    out
+    quantiles.end();
+    obj.end();
 }
 
 impl Monitor {
@@ -78,45 +40,29 @@ impl Monitor {
     /// first). Zero-delta entries are omitted from each row, which
     /// keeps quiet windows to a few bytes.
     pub fn series_json(&self) -> String {
-        let rows = self.windows();
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"window_us\":{},\"closed\":{},\"windows\":[",
-            self.window_us(),
-            self.windows_closed()
-        );
-        for (i, row) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&row_json(row));
-        }
-        out.push_str("]}");
+        let mut obj = ObjectWriter::new(&mut out);
+        obj.num("window_us", self.window_us())
+            .num("closed", self.windows_closed());
+        array(obj.key("windows"), &self.windows(), write_row);
+        obj.end();
         out
     }
 
     /// The full alert log as a JSON array, oldest first.
     pub fn alert_log_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, e) in self.alert_log().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"time_us\":{},\"window\":{},\"rule\":\"{}\",\
-                 \"kind\":\"{}\",\"value_milli\":{},\"threshold_milli\":{}}}",
-                e.seq,
-                e.time_us,
-                e.window,
-                esc(&e.rule),
-                if e.fired { "fired" } else { "resolved" },
-                e.value_milli,
-                e.threshold_milli
-            );
-        }
-        out.push(']');
+        let mut out = String::new();
+        array(&mut out, self.alert_log().iter(), |out, e| {
+            let mut obj = ObjectWriter::new(out);
+            obj.num("seq", e.seq)
+                .num("time_us", e.time_us)
+                .num("window", e.window)
+                .str("rule", &e.rule)
+                .str("kind", if e.fired { "fired" } else { "resolved" })
+                .num("value_milli", e.value_milli)
+                .num("threshold_milli", e.threshold_milli);
+            obj.end();
+        });
         out
     }
 

@@ -2,9 +2,7 @@
 //! instant, with a JSON round-trip so `webdis-doctor --live` can poll
 //! a daemon's admin socket and render the decoded structure.
 
-use std::fmt::Write as _;
-
-use crate::json::esc;
+use webdis_trace::json::{self, array, ObjectWriter, Value};
 
 /// One in-flight (admitted, not yet terminated) query.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -54,251 +52,71 @@ impl StatusSnapshot {
     /// Renders the snapshot as a single-line JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"now_us\":{},\"windows_closed\":{},\"admitted\":{},\"retired\":{}",
-            self.now_us, self.windows_closed, self.admitted, self.retired
+        let mut obj = ObjectWriter::new(&mut out);
+        obj.num("now_us", self.now_us)
+            .num("windows_closed", self.windows_closed)
+            .num("admitted", self.admitted)
+            .num("retired", self.retired);
+        array(
+            obj.key("active_alerts"),
+            &self.active_alerts,
+            |out, rule| json::string(out, rule),
         );
-        out.push_str(",\"active_alerts\":[");
-        for (i, rule) in self.active_alerts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", esc(rule));
-        }
-        out.push_str("],\"inflight\":[");
-        for (i, q) in self.inflight.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"user\":\"{}\",\"host\":\"{}\",\"port\":{},\"query_num\":{},\
-                 \"submitted_us\":{},\"age_us\":{},\"site\":\"{}\",\"stage\":{},\
-                 \"hops\":{},\"clones_recv\":{},\"fanout\":{}}}",
-                esc(&q.user),
-                esc(&q.host),
-                q.port,
-                q.query_num,
-                q.submitted_us,
-                q.age_us,
-                esc(&q.site),
-                q.stage,
-                q.hops,
-                q.clones_recv,
-                q.fanout
-            );
-        }
-        out.push_str("]}");
+        array(obj.key("inflight"), &self.inflight, |out, q| {
+            let mut obj = ObjectWriter::new(out);
+            obj.str("user", &q.user)
+                .str("host", &q.host)
+                .num("port", q.port)
+                .num("query_num", q.query_num)
+                .num("submitted_us", q.submitted_us)
+                .num("age_us", q.age_us)
+                .str("site", &q.site)
+                .num("stage", q.stage)
+                .num("hops", q.hops)
+                .num("clones_recv", q.clones_recv)
+                .num("fanout", q.fanout);
+            obj.end();
+        });
+        obj.end();
         out
     }
 
     /// Parses a snapshot back from its JSON form. Tolerates unknown
-    /// keys (skipped), so older doctors keep working against newer
+    /// keys (ignored), so older doctors keep working against newer
     /// daemons; missing keys default to zero/empty.
     pub fn from_json(text: &str) -> Result<StatusSnapshot, String> {
-        let mut p = Parser::new(text);
-        let mut snap = StatusSnapshot::default();
-        p.object(|p, key| {
-            match key {
-                "now_us" => snap.now_us = p.number()?,
-                "windows_closed" => snap.windows_closed = p.number()?,
-                "admitted" => snap.admitted = p.number()?,
-                "retired" => snap.retired = p.number()?,
-                "active_alerts" => {
-                    p.array(|p| {
-                        snap.active_alerts.push(p.string()?);
-                        Ok(())
-                    })?;
-                }
-                "inflight" => {
-                    p.array(|p| {
-                        let mut q = InflightStatus::default();
-                        p.object(|p, key| {
-                            match key {
-                                "user" => q.user = p.string()?,
-                                "host" => q.host = p.string()?,
-                                "port" => q.port = p.number()? as u16,
-                                "query_num" => q.query_num = p.number()?,
-                                "submitted_us" => q.submitted_us = p.number()?,
-                                "age_us" => q.age_us = p.number()?,
-                                "site" => q.site = p.string()?,
-                                "stage" => q.stage = p.number()? as u32,
-                                "hops" => q.hops = p.number()? as u32,
-                                "clones_recv" => q.clones_recv = p.number()?,
-                                "fanout" => q.fanout = p.number()?,
-                                _ => p.skip_value()?,
-                            }
-                            Ok(())
-                        })?;
-                        snap.inflight.push(q);
-                        Ok(())
-                    })?;
-                }
-                _ => p.skip_value()?,
-            }
-            Ok(())
-        })?;
-        Ok(snap)
-    }
-}
-
-/// A minimal JSON reader for the subset the monitor emits: objects,
-/// arrays, strings with the escapes [`esc`] produces, and unsigned
-/// integers. Anything else is a parse error.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(hex).ok_or("bad \\u scalar")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// `{ "k": v, … }` — calls `field` positioned at each value.
-    fn object(
-        &mut self,
-        mut field: impl FnMut(&mut Parser<'a>, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            field(self, &key)?;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    /// `[ v, … ]` — calls `item` positioned at each element.
-    fn array(
-        &mut self,
-        mut item: impl FnMut(&mut Parser<'a>) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'[')?;
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            item(self)?;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    /// Skips one value of any supported shape (forward compatibility).
-    fn skip_value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b'{') => self.object(|p, _| p.skip_value()),
-            Some(b'[') => self.array(Parser::skip_value),
-            Some(b) if b.is_ascii_digit() => self.number().map(|_| ()),
-            other => Err(format!("cannot skip value starting with {other:?}")),
-        }
+        let v = json::parse(text)?;
+        let inflight = v.opt::<&[Value]>("inflight")?.unwrap_or_default();
+        Ok(StatusSnapshot {
+            now_us: v.opt("now_us")?.unwrap_or_default(),
+            windows_closed: v.opt("windows_closed")?.unwrap_or_default(),
+            admitted: v.opt("admitted")?.unwrap_or_default(),
+            retired: v.opt("retired")?.unwrap_or_default(),
+            active_alerts: v
+                .opt::<&[Value]>("active_alerts")?
+                .unwrap_or_default()
+                .iter()
+                .map(Value::to)
+                .collect::<Result<_, _>>()?,
+            inflight: inflight
+                .iter()
+                .map(|q| {
+                    Ok(InflightStatus {
+                        user: q.opt("user")?.unwrap_or_default(),
+                        host: q.opt("host")?.unwrap_or_default(),
+                        port: q.opt("port")?.unwrap_or_default(),
+                        query_num: q.opt("query_num")?.unwrap_or_default(),
+                        submitted_us: q.opt("submitted_us")?.unwrap_or_default(),
+                        age_us: q.opt("age_us")?.unwrap_or_default(),
+                        site: q.opt("site")?.unwrap_or_default(),
+                        stage: q.opt("stage")?.unwrap_or_default(),
+                        hops: q.opt("hops")?.unwrap_or_default(),
+                        clones_recv: q.opt("clones_recv")?.unwrap_or_default(),
+                        fanout: q.opt("fanout")?.unwrap_or_default(),
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+        })
     }
 }
 
@@ -366,5 +184,22 @@ mod tests {
     fn parser_rejects_garbage() {
         assert!(StatusSnapshot::from_json("not json").is_err());
         assert!(StatusSnapshot::from_json("{\"now_us\":}").is_err());
+        // A hostile body is refused, not a stack overflow.
+        assert!(StatusSnapshot::from_json(&"[".repeat(200_000)).is_err());
+        assert!(StatusSnapshot::from_json("{\"inflight\":[7]}").is_err());
+    }
+
+    #[test]
+    fn parser_rejects_out_of_range_fields() {
+        let json = sample().to_json();
+        for (from, to) in [
+            ("\"port\":9900", "\"port\":70000"),
+            ("\"stage\":4", "\"stage\":4294967301"),
+            ("\"hops\":2", "\"hops\":4294967296"),
+        ] {
+            let bad = json.replacen(from, to, 1);
+            assert_ne!(bad, json);
+            assert!(StatusSnapshot::from_json(&bad).is_err(), "{to}");
+        }
     }
 }

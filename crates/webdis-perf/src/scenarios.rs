@@ -8,6 +8,7 @@
 //! plus whatever sim-deterministic anchors they can (row counts,
 //! verdict digests), which stay exact even there.
 
+use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -15,6 +16,7 @@ use webdis_core::{
     run_query_sim, AdmissionPolicy, CachePolicy, EngineConfig, MonitorHandle, ProcModel,
 };
 use webdis_load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis_model::Fnv1a;
 use webdis_sim::SimConfig;
 use webdis_trace::{RegistrySnapshot, TraceHandle};
 use webdis_web::{figures, generate, WebGenConfig};
@@ -700,12 +702,10 @@ pub fn t17_cache(smoke: bool) -> ScenarioReport {
 /// anywhere in the monitor's series or alert log moves the pinned
 /// value.
 fn artifact_digest(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes().iter().chain(b"\n") {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hash = Fnv1a::default();
+    hash.write(text.as_bytes());
+    hash.write(b"\n");
+    hash.finish()
 }
 
 struct T18Point {

@@ -5,11 +5,11 @@
 //! query travelled, what each site did with it, and what it cost*. This
 //! crate is that observability layer: a [`TraceEvent`] vocabulary
 //! covering the engine lifecycle, a [`Tracer`] trait with a no-op sink
-//! (zero cost when disabled) and a bounded ring-buffer collector, a
-//! hand-written JSON-lines exporter/parser ([`json`]), a unified
-//! metrics [`registry`], and a [`trajectory`] reconstructor that folds
-//! an event stream back into the per-query shipping tree of the
-//! paper's Figure 1.
+//! (zero cost when disabled) and a bounded ring-buffer collector, the
+//! workspace's one JSON codec with the JSON-lines trace format on top
+//! ([`json`]), a unified metrics [`registry`], and a [`trajectory`]
+//! reconstructor that folds an event stream back into the per-query
+//! shipping tree of the paper's Figure 1.
 //!
 //! Both transports record through the same [`TraceHandle`]: the
 //! simulator stamps virtual microseconds, the TCP runtime wall-clock

@@ -11,6 +11,8 @@ use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
+use crate::json::Value;
+
 /// Upper bounds (inclusive) of the fixed histogram buckets, chosen to
 /// straddle the paper's scales: hop latencies of hundreds of ms on a
 /// 1999 WAN, message sizes of a few hundred bytes to a few KiB, row
@@ -125,7 +127,7 @@ impl Histogram {
     /// derived p50/p95/p99 so BENCH files are readable without
     /// reconstructing the histogram. The quantile fields are redundant
     /// (recomputable from the counts) and are ignored by
-    /// [`from_json`](Histogram::from_json).
+    /// [`from_value`](Histogram::from_value).
     pub fn to_json(&self) -> String {
         let counts: Vec<String> = self.counts.iter().map(|c| c.to_string()).collect();
         format!(
@@ -141,103 +143,38 @@ impl Histogram {
         )
     }
 
-    /// Parses a histogram serialised by [`to_json`](Histogram::to_json).
-    /// Unknown numeric keys (the derived quantiles) are ignored; the
-    /// bucket array must match the compiled bucket count and agree with
-    /// the total, so a file from a different bucket vocabulary is
-    /// rejected rather than silently misread.
-    pub fn from_json(text: &str) -> Result<Histogram, String> {
-        let text = text.trim();
-        let body = text
-            .strip_prefix('{')
-            .and_then(|t| t.strip_suffix('}'))
-            .ok_or_else(|| "histogram JSON must be a single object".to_string())?;
-        let mut h = Histogram::default();
-        let mut seen_counts = false;
-        let mut rest = body;
-        while !rest.trim().is_empty() {
-            let (key, after_key) = parse_json_key(rest)?;
-            let after_key = after_key.trim_start();
-            let (value_text, remainder) = split_json_value(after_key)?;
-            match key.as_str() {
-                "count" => h.count = parse_json_u64(value_text)?,
-                "sum" => h.sum = parse_json_u64(value_text)?,
-                "max" => h.max = parse_json_u64(value_text)?,
-                "min" => h.min = parse_json_u64(value_text)?,
-                "counts" => {
-                    let inner = value_text
-                        .trim()
-                        .strip_prefix('[')
-                        .and_then(|t| t.strip_suffix(']'))
-                        .ok_or_else(|| "counts must be an array".to_string())?;
-                    let values: Vec<u64> = if inner.trim().is_empty() {
-                        Vec::new()
-                    } else {
-                        inner
-                            .split(',')
-                            .map(parse_json_u64)
-                            .collect::<Result<_, _>>()?
-                    };
-                    if values.len() != h.counts.len() {
-                        return Err(format!(
-                            "expected {} buckets, found {}",
-                            h.counts.len(),
-                            values.len()
-                        ));
-                    }
-                    h.counts.copy_from_slice(&values);
-                    seen_counts = true;
-                }
-                // Derived quantiles and any future additive field.
-                _ => {}
-            }
-            rest = remainder;
+    /// Reads a histogram serialised by [`to_json`](Histogram::to_json)
+    /// from its parsed JSON object. Unknown keys (the
+    /// derived quantiles) are ignored; the bucket array must match the
+    /// compiled bucket count and agree with the total, so a file from a
+    /// different bucket vocabulary is rejected rather than silently
+    /// misread.
+    pub fn from_value(v: &Value) -> Result<Histogram, String> {
+        let counts: &[Value] = v
+            .opt("counts")?
+            .ok_or("histogram JSON lacks a counts array")?;
+        let mut h = Histogram {
+            count: v.opt("count")?.unwrap_or(0),
+            sum: v.opt("sum")?.unwrap_or(0),
+            max: v.opt("max")?.unwrap_or(0),
+            min: v.opt("min")?.unwrap_or(0),
+            ..Histogram::default()
+        };
+        if counts.len() != h.counts.len() {
+            return Err(format!(
+                "expected {} buckets, found {}",
+                h.counts.len(),
+                counts.len()
+            ));
         }
-        if !seen_counts {
-            return Err("histogram JSON lacks a counts array".to_string());
+        for (slot, c) in h.counts.iter_mut().zip(counts) {
+            *slot = c.to()?;
         }
-        if h.counts.iter().sum::<u64>() != h.count {
+        if h.counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) != Some(h.count) {
             return Err("bucket counts disagree with the total count".to_string());
         }
         Ok(h)
     }
-}
-
-/// Reads a leading `"key":` off `rest`, returning the key and what
-/// follows the colon.
-fn parse_json_key(rest: &str) -> Result<(String, &str), String> {
-    let rest = rest.trim_start().trim_start_matches(',').trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or_else(|| format!("expected a quoted key at {rest:.20?}"))?;
-    let end = rest
-        .find('"')
-        .ok_or_else(|| "unterminated key".to_string())?;
-    let key = rest[..end].to_string();
-    let after = rest[end + 1..]
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("expected ':' after key {key:?}"))?;
-    Ok((key, after))
-}
-
-/// Splits one JSON value (number or flat array) off the front of `rest`.
-fn split_json_value(rest: &str) -> Result<(&str, &str), String> {
-    if let Some(stripped) = rest.strip_prefix('[') {
-        let end = stripped
-            .find(']')
-            .ok_or_else(|| "unterminated array".to_string())?;
-        Ok((&rest[..end + 2], &rest[end + 2..]))
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Ok((&rest[..end], &rest[end..]))
-    }
-}
-
-fn parse_json_u64(text: &str) -> Result<u64, String> {
-    text.trim()
-        .parse::<u64>()
-        .map_err(|e| format!("bad number {text:?}: {e}"))
 }
 
 #[derive(Default)]
@@ -472,6 +409,10 @@ impl std::fmt::Debug for Registry {
 mod tests {
     use super::*;
 
+    fn from_json(text: &str) -> Result<Histogram, String> {
+        Histogram::from_value(&crate::json::parse(text)?)
+    }
+
     #[test]
     fn histogram_json_roundtrips_exactly() {
         let r = Registry::new();
@@ -488,7 +429,7 @@ mod tests {
         // …and the roundtrip reconstructs the histogram exactly,
         // including every bucket and the min/max pins the quantile
         // estimator relies on.
-        let back = Histogram::from_json(&json).unwrap();
+        let back = from_json(&json).unwrap();
         assert_eq!(&back, h);
         assert_eq!(back.quantile(0.95), h.quantile(0.95));
         // Serialising again is byte-identical — the property BENCH
@@ -497,16 +438,15 @@ mod tests {
 
         // The empty histogram roundtrips too.
         let empty = Histogram::default();
-        assert_eq!(Histogram::from_json(&empty.to_json()).unwrap(), empty);
+        assert_eq!(from_json(&empty.to_json()).unwrap(), empty);
     }
 
     #[test]
     fn histogram_json_rejects_malformed_input() {
-        assert!(Histogram::from_json("").is_err());
-        assert!(Histogram::from_json("{}").is_err(), "missing counts");
+        assert!(from_json("").is_err());
+        assert!(from_json("{}").is_err(), "missing counts");
         assert!(
-            Histogram::from_json("{\"count\":1,\"counts\":[1,0],\"sum\":3,\"max\":3,\"min\":3}")
-                .is_err(),
+            from_json("{\"count\":1,\"counts\":[1,0],\"sum\":3,\"max\":3,\"min\":3}").is_err(),
             "wrong bucket arity"
         );
         let mut wrong_total = Histogram::default();
@@ -514,8 +454,14 @@ mod tests {
         wrong_total.count = 1;
         let json = wrong_total.to_json();
         assert!(
-            Histogram::from_json(&json).is_err(),
+            from_json(&json).is_err(),
             "bucket/total disagreement must be rejected"
+        );
+        let max = u64::MAX;
+        let overflow = format!("{{\"count\":1,\"counts\":[{max},{max},0,0,0,0,0,0,0,0,0]}}");
+        assert!(
+            from_json(&overflow).is_err(),
+            "a bucket sum past u64 is an error"
         );
     }
 

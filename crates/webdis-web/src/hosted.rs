@@ -79,7 +79,9 @@ impl PageBuilder {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escapes text for HTML element content and double-quoted attribute
+/// values: `&`, `<`, `>` and `"`.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -19,11 +19,12 @@
 //! any instant.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hasher;
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webdis_model::{SiteAddr, Url};
+use webdis_model::{Fnv1a, SiteAddr, Url};
 
 use crate::hosted::{HostedWeb, PageBuilder};
 
@@ -289,7 +290,7 @@ struct LiveState {
     site_versions: BTreeMap<String, u64>,
     hosts: BTreeSet<String>,
     history: Vec<AppliedMutation>,
-    digest: u64,
+    digest: Fnv1a,
 }
 
 /// A mutable, versioned web shared between a mutation driver and the
@@ -301,24 +302,10 @@ pub struct LiveWeb {
     state: Mutex<LiveState>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 impl LiveWeb {
     /// Wraps a frozen snapshot; every document starts at version 0.
     pub fn from_hosted(web: &HostedWeb) -> LiveWeb {
-        let mut state = LiveState {
-            digest: FNV_OFFSET,
-            ..LiveState::default()
-        };
+        let mut state = LiveState::default();
         for url in web.urls() {
             let html = web.get(url).expect("listed URL is hosted").to_owned();
             state.hosts.insert(url.host().to_owned());
@@ -394,7 +381,7 @@ impl LiveWeb {
     /// FNV-1a digest over the applied history — byte-identical across
     /// replays of the same schedule on the same initial web.
     pub fn history_digest(&self) -> u64 {
-        self.lock().digest
+        self.lock().digest.finish()
     }
 
     /// The applied history, in application order.
@@ -522,16 +509,15 @@ impl LiveWeb {
             site_version: version,
             effects,
         };
-        let mut digest = state.digest;
-        digest = fnv_fold(digest, applied.at_us.to_string().as_bytes());
-        digest = fnv_fold(digest, applied.label.as_bytes());
-        digest = fnv_fold(digest, applied.host.as_bytes());
-        digest = fnv_fold(digest, applied.site_version.to_string().as_bytes());
+        let digest = &mut state.digest;
+        digest.write(applied.at_us.to_string().as_bytes());
+        digest.write(applied.label.as_bytes());
+        digest.write(applied.host.as_bytes());
+        digest.write(applied.site_version.to_string().as_bytes());
         for (url, effect) in &applied.effects {
-            digest = fnv_fold(digest, url.to_string().as_bytes());
-            digest = fnv_fold(digest, format!("{effect:?}").as_bytes());
+            digest.write(url.to_string().as_bytes());
+            digest.write(format!("{effect:?}").as_bytes());
         }
-        state.digest = digest;
         state.history.push(applied.clone());
         applied
     }
