@@ -191,15 +191,20 @@ pub fn watch(
     Ok(())
 }
 
-/// The CI smoke: brings up a monitored loopback cluster, runs one real
-/// query through it, polls the first daemon's admin socket live, and
-/// checks the poll saw the run. Returns the rendered polls.
+/// Campus queries the smoke runs concurrently.
+const SMOKE_QUERIES: usize = 4;
+
+/// The CI smoke: brings up a monitored loopback cluster, runs
+/// [`SMOKE_QUERIES`] concurrent campus queries through it, polls the
+/// first daemon's admin socket live, and checks the poll saw the run.
+/// After shutdown the doctor diagnoses the collected trace, and any
+/// anomaly fails the smoke. Returns the rendered polls.
 pub fn live_smoke() -> Result<String, String> {
     use std::sync::Arc;
     use std::time::Instant;
 
     let web = Arc::new(webdis_web::figures::campus());
-    let (_collector, tracer) = webdis_trace::TraceHandle::collecting(65_536);
+    let (collector, tracer) = webdis_trace::TraceHandle::collecting(65_536);
     let monitor = webdis_core::MonitorHandle::with_defaults(tracer.clone());
     let cfg = webdis_core::EngineConfig {
         tracer,
@@ -214,9 +219,11 @@ pub fn live_smoke() -> Result<String, String> {
     let mut client =
         webdis_core::ClientProcess::new("smoke", cluster.user_site().clone(), cfg.clone());
     let mut net = cluster.user_net();
-    client
-        .submit_disql(&mut net, webdis_web::figures::CAMPUS_QUERY)
-        .map_err(|e| format!("smoke query: {e:?}"))?;
+    for _ in 0..SMOKE_QUERIES {
+        client
+            .submit_disql(&mut net, webdis_web::figures::CAMPUS_QUERY)
+            .map_err(|e| format!("smoke query: {e:?}"))?;
+    }
     let start = Instant::now();
     while !client.all_complete() && start.elapsed() < Duration::from_secs(30) {
         if let Some(msg) = cluster.recv_timeout(Duration::from_millis(20)) {
@@ -224,7 +231,7 @@ pub fn live_smoke() -> Result<String, String> {
         }
     }
     if !client.all_complete() {
-        return Err("smoke query did not complete within 30s".into());
+        return Err("smoke queries did not complete within 30s".into());
     }
 
     let (_, addr) = cluster.metrics_addrs()[0];
@@ -235,15 +242,26 @@ pub fn live_smoke() -> Result<String, String> {
     cluster.shutdown();
 
     let last = sample_check(&report)?;
-    Ok(format!("{report}\nlive smoke OK: {last}\n"))
+    let anomalies = crate::doctor::diagnose(&collector.snapshot()).anomalies;
+    if !anomalies.is_empty() {
+        return Err(format!(
+            "doctor found anomalies in the smoke's TCP trace:\n{}",
+            anomalies.join("\n")
+        ));
+    }
+    Ok(format!(
+        "{report}\nlive smoke OK: {last}; doctor: 0 anomalies\n"
+    ))
 }
 
-/// The smoke's acceptance: the live view must have seen the admitted
+/// The smoke's acceptance: the live view must have seen every admitted
 /// query retire and the fleet's stage time.
 fn sample_check(report: &str) -> Result<String, String> {
-    if !report.contains("admitted: 1") || !report.contains("retired: 1") {
+    let admitted = format!("admitted: {SMOKE_QUERIES} ");
+    let retired = format!("retired: {SMOKE_QUERIES} ");
+    if !report.contains(&admitted) || !report.contains(&retired) {
         return Err(format!(
-            "live view never saw the query admitted and retired:\n{report}"
+            "live view never saw the queries admitted and retired:\n{report}"
         ));
     }
     if !report.contains("fleet stage shares") {
@@ -313,5 +331,6 @@ mod tests {
         let report = live_smoke().expect("live smoke");
         assert!(report.contains("live smoke OK"), "{report}");
         assert!(report.contains("poll 2/2"), "{report}");
+        assert!(report.contains("doctor: 0 anomalies"), "{report}");
     }
 }

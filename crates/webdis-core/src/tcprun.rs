@@ -4,9 +4,12 @@
 //! socket, passive termination by closing that socket.
 //!
 //! Each simulated site gets an ephemeral `127.0.0.1` port; a shared
-//! address map plays DNS. Experiments use the deterministic simulator;
-//! this runtime exists to demonstrate (and integration-test) that the
-//! identical engine code is operational over real sockets.
+//! address map plays DNS. Every daemon and every [`TcpCluster::user_net`]
+//! handle owns a [`LinkPool`], so each (sender, receiver) pair talks over
+//! one long-lived link, written synchronously by the sending thread.
+//! Experiments use the deterministic simulator; this runtime exists to
+//! demonstrate (and integration-test) that the identical engine code is
+//! operational over real sockets.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -16,7 +19,9 @@ use std::time::{Duration, Instant};
 
 use webdis_disql::parse_disql;
 use webdis_model::{SiteAddr, Url};
-use webdis_net::{encode_message, Message, QueryId, RetryPolicy, TcpEndpoint, WireCounters};
+use webdis_net::{
+    encode_message, Frame, LinkPool, Message, QueryId, RetryPolicy, TcpEndpoint, WireCounters,
+};
 use webdis_rel::ResultRow;
 use webdis_trace::{MetricsExporter, TraceEvent as TrEvent, TraceHandle, TraceRecord};
 
@@ -72,8 +77,8 @@ enum FaultAction {
     None,
     /// Swallow the message; the sender believes the send succeeded.
     Drop,
-    /// Flip a byte in the encoded frame before writing it, so the
-    /// receiver's decode path rejects it (loss through `WireError`).
+    /// Flip a payload byte in the encoded frame before writing it, so
+    /// the receiver's decode path rejects it (loss through `WireError`).
     Corrupt,
     /// Deliver the message, then deliver an identical second copy.
     Duplicate,
@@ -124,8 +129,8 @@ impl TcpFaultPlan {
     }
 
     /// Adds a query-clone byte-corruption range: the frames are encoded,
-    /// one byte is flipped, and the mangled payload goes over the real
-    /// socket so the receiver's decode error path runs.
+    /// one payload byte is flipped, and the mangled frame goes over the
+    /// sender's pooled link so the receiver's decode error path runs.
     pub fn with_query_corruption(self, skip: usize, n: usize) -> TcpFaultPlan {
         self.edit(|inner| {
             inner.corrupt_skip = skip;
@@ -232,11 +237,10 @@ impl TcpFaultPlan {
 }
 
 /// A `Network` that resolves site addresses through the shared map and
-/// dispatches with one TCP connection per message (retried with backoff
+/// writes each message over its own [`LinkPool`] (retried with backoff
 /// on transient failures; connection-refused — the passive-termination
 /// signal — is surfaced immediately). Obtained from
-/// [`TcpCluster::user_net`]; one clone per thread.
-#[derive(Clone)]
+/// [`TcpCluster::user_net`]; one handle per thread.
 pub struct TcpNet {
     map: Arc<BTreeMap<SiteAddr, SocketAddr>>,
     epoch: Instant,
@@ -253,35 +257,93 @@ pub struct TcpNet {
     /// `queue_us` span sees the channel dwell time. Always zero on
     /// client-side handles.
     queue_wait_us: u64,
+    /// This handle's long-lived links, one per peer.
+    links: LinkPool,
+}
+
+/// A clone starts with an empty pool: a socket is never shared between
+/// threads.
+impl Clone for TcpNet {
+    fn clone(&self) -> TcpNet {
+        TcpNet::new(
+            Arc::clone(&self.map),
+            self.epoch,
+            self.from.clone(),
+            self.tracer.clone(),
+            self.faults.clone(),
+            Arc::clone(&self.wire),
+        )
+    }
 }
 
 impl TcpNet {
-    fn emit(&self, msg: &Message, event: TrEvent) {
-        self.tracer.emit_with(|| {
-            let (query, hop) = match msg {
-                Message::Query(c) => (Some(c.id.clone()), Some(c.hops)),
-                Message::Report(r) => (Some(r.id.clone()), None),
-                Message::Ack(a) => (Some(a.id.clone()), None),
-                Message::Fetch(_) | Message::FetchReply(_) => (None, None),
-            };
-            TraceRecord {
-                time_us: self.epoch.elapsed().as_micros() as u64,
-                site: self.from.clone(),
-                query,
-                hop,
-                event,
-            }
-        });
+    fn new(
+        map: Arc<BTreeMap<SiteAddr, SocketAddr>>,
+        epoch: Instant,
+        from: String,
+        tracer: TraceHandle,
+        faults: TcpFaultPlan,
+        wire: Arc<WireCounters>,
+    ) -> TcpNet {
+        TcpNet {
+            map,
+            epoch,
+            from,
+            tracer,
+            retry: RetryPolicy::default(),
+            faults,
+            wire,
+            queue_wait_us: 0,
+            links: LinkPool::new(),
+        }
     }
+
+    /// Traces a frame this endpoint read off the wire but never
+    /// processed (`reason`: the daemon was crashed, or shut down).
+    fn trace_unprocessed(&self, msg: &Message, reason: &str) {
+        self.emit(
+            msg,
+            TrEvent::MessageDropped {
+                kind: msg.kind().to_string(),
+                to: self.from.clone(),
+                bytes: encode_message(msg).len() as u32,
+                reason: reason.into(),
+            },
+        );
+    }
+
+    fn emit(&self, msg: &Message, event: TrEvent) {
+        emit_record(&self.tracer, self.epoch, &self.from, msg, event);
+    }
+}
+
+/// Stamps one transport event about `msg`, sent or handled by `from`.
+fn emit_record(tracer: &TraceHandle, epoch: Instant, from: &str, msg: &Message, event: TrEvent) {
+    tracer.emit_with(|| {
+        let (query, hop) = match msg {
+            Message::Query(c) => (Some(c.id.clone()), Some(c.hops)),
+            Message::Report(r) => (Some(r.id.clone()), None),
+            Message::Ack(a) => (Some(a.id.clone()), None),
+            Message::Fetch(_) | Message::FetchReply(_) => (None, None),
+        };
+        TraceRecord {
+            time_us: epoch.elapsed().as_micros() as u64,
+            site: from.to_string(),
+            query,
+            hop,
+            event,
+        }
+    });
 }
 
 impl Network for TcpNet {
     fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
-        let addr = self
+        let addr = *self
             .map
             .get(to)
             .ok_or_else(|| NetworkError { to: to.clone() })?;
-        let bytes = encode_message(&msg).len() as u64;
+        let mut frame = Frame::encode(&msg).map_err(|_| NetworkError { to: to.clone() })?;
+        let bytes = frame.payload_len() as u64;
         let mut duplicate = false;
         match self.faults.action_for(&msg) {
             FaultAction::None => {}
@@ -301,15 +363,13 @@ impl Network for TcpNet {
                 return Ok(());
             }
             FaultAction::Corrupt => {
-                // Flip one byte mid-frame and push the mangled payload
-                // over the real socket: the receiver's decoder rejects
-                // it, so this is loss exercised through the `WireError`
-                // path rather than a silent swallow. No `MessageSent` is
-                // emitted — the message never arrives.
-                let mut payload = encode_message(&msg);
-                let mid = payload.len() / 2;
-                payload[mid] ^= 0xff;
-                let _ = webdis_net::send_raw(addr, &payload);
+                // Flip one payload byte and push the mangled frame over
+                // the pooled link: the receiver's decoder rejects it and
+                // keeps the link, so this is loss exercised through the
+                // `WireError` path rather than a silent swallow. No
+                // `MessageSent` is emitted — the message never arrives.
+                frame.corrupt();
+                let _ = self.links.send(addr, &frame);
                 self.wire.record_dropped(msg.kind(), bytes);
                 self.emit(
                     &msg,
@@ -323,17 +383,22 @@ impl Network for TcpNet {
             }
             FaultAction::Duplicate => duplicate = true,
         }
-        webdis_net::tcp::send_to_retrying(addr, &msg, self.retry, |attempt| {
-            self.emit(
-                &msg,
-                TrEvent::SendRetried {
-                    kind: msg.kind().to_string(),
-                    to: to.host.clone(),
-                    attempt,
-                },
-            );
-        })
-        .map_err(|_| NetworkError { to: to.clone() })?;
+        let (retry, tracer, epoch, from) = (self.retry, &self.tracer, self.epoch, &self.from);
+        self.links
+            .send_retrying(addr, &frame, retry, |attempt| {
+                emit_record(
+                    tracer,
+                    epoch,
+                    from,
+                    &msg,
+                    TrEvent::SendRetried {
+                        kind: msg.kind().to_string(),
+                        to: to.host.clone(),
+                        attempt,
+                    },
+                )
+            })
+            .map_err(|_| NetworkError { to: to.clone() })?;
         self.wire.record_sent(msg.kind(), bytes);
         self.emit(
             &msg,
@@ -348,7 +413,7 @@ impl Network for TcpNet {
             // The extra copy is metered as sent but traced as
             // `MessageDuplicated`, never as a second `MessageSent` — one
             // logical send, two deliveries.
-            if webdis_net::tcp::send_to(addr, &msg).is_ok() {
+            if self.links.send(addr, &frame).is_ok() {
                 self.wire.record_sent(msg.kind(), bytes);
                 self.emit(
                     &msg,
@@ -397,6 +462,18 @@ impl ExpiryTicker {
     }
 }
 
+/// How long every daemon endpoint must stay empty before
+/// [`TcpCluster::shutdown`] stops draining.
+const SHUTDOWN_QUIET: Duration = Duration::from_millis(20);
+
+/// A stopped daemon: its engine, and the endpoint and network handle
+/// the shutdown drain still needs.
+struct Daemon {
+    engine: ServerEngine,
+    endpoint: TcpEndpoint,
+    net: TcpNet,
+}
+
 /// A running loopback deployment: one query-server daemon thread per
 /// site of the hosted web, one bound user endpoint, and the shared
 /// address map playing DNS. All endpoints are bound before any daemon
@@ -409,7 +486,7 @@ pub struct TcpCluster {
     user_endpoint: TcpEndpoint,
     map: Arc<BTreeMap<SiteAddr, SocketAddr>>,
     stop: Arc<AtomicBool>,
-    daemons: Vec<std::thread::JoinHandle<ServerEngine>>,
+    daemons: Vec<std::thread::JoinHandle<Daemon>>,
     tracer: TraceHandle,
     faults: TcpFaultPlan,
     wire: Arc<WireCounters>,
@@ -521,16 +598,14 @@ impl TcpCluster {
                     ServerEngine::new_live(site.clone(), Arc::clone(l), engine_cfg.clone())
                 }
             };
-            let mut net = TcpNet {
-                map: Arc::clone(&map),
+            let mut net = TcpNet::new(
+                Arc::clone(&map),
                 epoch,
-                from: site.host.clone(),
-                tracer: engine_cfg.tracer.clone(),
-                retry: RetryPolicy::default(),
-                faults: faults.clone(),
-                wire: Arc::clone(&wire),
-                queue_wait_us: 0,
-            };
+                site.host.clone(),
+                engine_cfg.tracer.clone(),
+                faults.clone(),
+                Arc::clone(&wire),
+            );
             let stop = Arc::clone(&stop);
             let purge_period = engine_cfg.log_purge_us;
             // Crash-restart schedule for this daemon, consumed in order.
@@ -539,7 +614,6 @@ impl TcpCluster {
                 std::thread::Builder::new()
                     .name(format!("webdis-daemon-{site}"))
                     .spawn(move || {
-                        let endpoint = endpoint; // owned by the daemon
                         let mut last_purge = Instant::now();
                         let mut win_idx = 0usize;
                         while !stop.load(Ordering::SeqCst) {
@@ -564,16 +638,7 @@ impl TcpCluster {
                                     // processed. Traced as an explained
                                     // drop so trajectory triage never
                                     // reports a false orphan.
-                                    let bytes = encode_message(&msg).len() as u32;
-                                    net.emit(
-                                        &msg,
-                                        TrEvent::MessageDropped {
-                                            kind: msg.kind().to_string(),
-                                            to: net.from.clone(),
-                                            bytes,
-                                            reason: "crashed".into(),
-                                        },
-                                    );
+                                    net.trace_unprocessed(&msg, "crashed");
                                     continue;
                                 }
                                 // Inbound queue depth at dequeue: this
@@ -595,7 +660,11 @@ impl TcpCluster {
                                 }
                             }
                         }
-                        engine
+                        Daemon {
+                            engine,
+                            endpoint,
+                            net,
+                        }
                     })
                     .expect("spawn daemon"),
             );
@@ -701,16 +770,14 @@ impl TcpCluster {
 
     /// A network handle stamped as the user site, for client-side sends.
     pub fn user_net(&self) -> TcpNet {
-        TcpNet {
-            map: Arc::clone(&self.map),
-            epoch: self.epoch,
-            from: self.user_site.host.clone(),
-            tracer: self.tracer.clone(),
-            retry: RetryPolicy::default(),
-            faults: self.faults.clone(),
-            wire: Arc::clone(&self.wire),
-            queue_wait_us: 0,
-        }
+        TcpNet::new(
+            Arc::clone(&self.map),
+            self.epoch,
+            self.user_site.host.clone(),
+            self.tracer.clone(),
+            self.faults.clone(),
+            Arc::clone(&self.wire),
+        )
     }
 
     /// The cluster-wide per-kind wire meter (messages/bytes sent and
@@ -743,7 +810,10 @@ impl TcpCluster {
     }
 
     /// Stops every daemon (and its metrics exporter) and returns their
-    /// engines (for final stats).
+    /// engines (for final stats). Frames still queued or in flight to a
+    /// daemon once every daemon has stopped are drained and traced as
+    /// `MessageDropped { reason: "shutdown" }`, so a trace of a clean
+    /// run explains every message it sent.
     pub fn shutdown(self) -> Vec<ServerEngine> {
         self.stop.store(true, Ordering::SeqCst);
         for (_, mut exporter) in self.exporters {
@@ -755,10 +825,30 @@ impl TcpCluster {
         if let Some(sampler) = self.sampler {
             let _ = sampler.join();
         }
-        self.daemons
+        let daemons: Vec<Daemon> = self
+            .daemons
             .into_iter()
             .filter_map(|d| d.join().ok())
-            .collect()
+            .collect();
+        // No daemon sends any more, but a frame written just before its
+        // sender stopped may still sit in a link's socket buffer: drain
+        // until every endpoint has stayed empty for a quiet interval.
+        let mut quiet_since = Instant::now();
+        while quiet_since.elapsed() < SHUTDOWN_QUIET {
+            let mut drained = false;
+            for d in &daemons {
+                while let Some(msg) = d.endpoint.try_recv() {
+                    d.net.trace_unprocessed(&msg, "shutdown");
+                    drained = true;
+                }
+            }
+            if drained {
+                quiet_since = Instant::now();
+            } else {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        daemons.into_iter().map(|d| d.engine).collect()
     }
 }
 
@@ -1106,9 +1196,11 @@ mod tests {
     #[test]
     fn batch_outcomes_report_per_query_elapsed() {
         // Regression: every outcome used to be stamped with the whole
-        // batch's wall clock. The single-site link query finishes long
-        // before the multi-hop campus query; its elapsed must be its own.
+        // batch's wall clock. Each elapsed must come from the query's own
+        // completion stamp, which lands strictly before the batch ends
+        // (the cluster still has to shut down after the last one).
         let web = Arc::new(figures::campus());
+        let start = Instant::now();
         let outcomes = run_queries_tcp(
             Arc::clone(&web),
             &[figures::CAMPUS_QUERY, figures::EXAMPLE_QUERY_1],
@@ -1116,13 +1208,93 @@ mod tests {
             Duration::from_secs(30),
         )
         .unwrap();
-        assert!(outcomes[0].complete && outcomes[1].complete);
-        assert!(
-            outcomes[1].elapsed < outcomes[0].elapsed,
-            "single-site query ({:?}) must complete before the campus query ({:?})",
-            outcomes[1].elapsed,
-            outcomes[0].elapsed,
+        let batch = start.elapsed();
+        for (i, o) in outcomes.iter().enumerate() {
+            assert!(o.complete, "query {i} must complete");
+            assert!(
+                o.elapsed < batch,
+                "query {i} elapsed ({:?}) is its own, below the batch's {batch:?}",
+                o.elapsed,
+            );
+        }
+    }
+
+    #[test]
+    fn shutdown_traces_every_unprocessed_clone() {
+        // A burst of submissions leaves clones queued at the daemons when
+        // shutdown begins. Every query clone sent must then be processed
+        // or traced as a shutdown drop: none may vanish untraced.
+        let (collector, tracer) = TraceHandle::collecting(1 << 18);
+        let cfg = EngineConfig {
+            tracer,
+            ..EngineConfig::default()
+        };
+        let cluster = TcpCluster::start(Arc::new(figures::campus()), &cfg, TcpFaultPlan::default());
+        let mut client =
+            crate::ClientProcess::new("burst", cluster.user_site().clone(), cfg.clone());
+        let mut net = cluster.user_net();
+        for _ in 0..200 {
+            client
+                .submit_disql(&mut net, figures::CAMPUS_QUERY)
+                .expect("valid query");
+        }
+        let wire = Arc::clone(cluster.wire_counters());
+        let processed: u64 = cluster
+            .shutdown()
+            .iter()
+            .map(|e| e.stats.clones_received)
+            .sum();
+        let drained = collector
+            .snapshot()
+            .iter()
+            .filter(|r| {
+                matches!(&r.event, TrEvent::MessageDropped { kind, reason, .. }
+                    if kind == "query" && reason == "shutdown")
+            })
+            .count() as u64;
+        assert!(drained > 0, "the burst must outlast the daemons");
+        assert_eq!(processed + drained, wire.msgs_of("query"));
+    }
+
+    #[test]
+    fn report_after_user_endpoint_closes_is_a_network_error() {
+        // Passive termination over a pooled link (Section 2.8): the
+        // first report after the user site closes its endpoint must
+        // fail, not vanish into the dead link.
+        let user = SiteAddr {
+            host: "user.test".into(),
+            port: 9900,
+        };
+        let mut endpoint = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let map = Arc::new(BTreeMap::from([(user.clone(), endpoint.local_addr())]));
+        let mut net = TcpNet::new(
+            map,
+            Instant::now(),
+            "a.test".into(),
+            TraceHandle::noop(),
+            TcpFaultPlan::default(),
+            Arc::new(WireCounters::new()),
         );
+        let report = |seq| {
+            Message::Report(webdis_net::ResultReport {
+                id: QueryId {
+                    user: "webdis".into(),
+                    host: user.host.clone(),
+                    port: user.port,
+                    query_num: 1,
+                },
+                origin: "a.test".into(),
+                seq,
+                reports: Vec::new(),
+            })
+        };
+        net.send(&user, report(0)).expect("user endpoint is up");
+        assert_eq!(
+            endpoint.recv_timeout(Duration::from_secs(5)).ok(),
+            Some(report(0))
+        );
+        endpoint.close();
+        assert!(net.send(&user, report(1)).is_err());
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   used only by the centralized data-shipping baseline.
 //!
 //! [`tcp`] implements a real transport on `std::net`: length-prefixed
-//! frames, one message per connection, a listener thread per endpoint —
-//! the same architecture as the paper's Java daemon. The deterministic
-//! simulated transport lives in `webdis-sim`.
+//! frames over one long-lived link per (sender, receiver) pair, and a
+//! listener thread per endpoint with a reader thread per link — the
+//! paper's Java daemon architecture without the per-message connection.
+//! The deterministic simulated transport lives in `webdis-sim`.
 
 pub mod messages;
 pub mod meter;
@@ -32,5 +33,5 @@ pub use messages::{
     QueryClone, QueryId, ResultReport, StageRows,
 };
 pub use meter::{WireCounters, MESSAGE_KINDS};
-pub use tcp::{send_raw, RetryPolicy, TcpEndpoint, TcpError};
+pub use tcp::{Frame, LinkPool, RetryPolicy, TcpEndpoint, TcpError};
 pub use wire::{decode_message, encode_message, Wire, WireError};

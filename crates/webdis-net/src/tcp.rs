@@ -1,32 +1,45 @@
 //! A real TCP transport (`std::net`), mirroring the paper's Java socket
-//! platform: each dispatch opens a connection, writes one length-prefixed
-//! message frame, and closes. Every endpoint runs a listener thread (the
-//! paper's *Query Receiver* / *Result Collector*) that decodes incoming
-//! frames onto a channel.
+//! platform with one long-lived link per (sender, receiver) pair. A
+//! sending thread owns a [`LinkPool`] — one `TcpStream` per peer address,
+//! opened on first use — and writes each message as one length-prefixed
+//! [`Frame`] over it. Every endpoint runs a listener thread (the paper's
+//! *Query Receiver* / *Result Collector*) that gives each accepted link a
+//! reader thread, which decodes frames onto the endpoint's channel until
+//! the link closes.
 //!
-//! Passive query termination (Section 2.8) falls out of this design: when
-//! the user-site closes its result endpoint, a query server's next
-//! [`send_to`] fails, and the server purges the query locally.
+//! Passive query termination (Section 2.8) survives the persistent link.
+//! Readers never write back, so anything readable on a pooled link means
+//! the peer closed or reset it: [`LinkPool::send`] checks for that before
+//! each write and reconnects. When the user-site closes its result
+//! endpoint, a query server's next send therefore fails with connection
+//! refused, and the server purges the query locally. Frames on one link
+//! arrive in the order they were written, which is what keeps a node's
+//! result report ahead of the clones it forwards (Section 2.7.1).
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::messages::Message;
-use crate::wire::{decode_message, encode_message, WireError};
+use crate::wire::{decode_message, Wire, WireError};
 
 /// Maximum accepted frame size (16 MiB) — a defence against hostile or
 /// corrupt length prefixes.
 const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// How long [`read_frame`] waits for frame bytes before giving up — the
-/// slowloris bound: a peer that connects and stalls (or trickles bytes)
-/// ties up one connection thread for at most this long.
+/// Bytes in a frame's big-endian length prefix.
+const PREFIX: usize = 4;
+
+/// How long a link's reader waits for the rest of a frame once its first
+/// byte has arrived — the slowloris bound: a peer that stalls (or
+/// trickles bytes) mid-frame ties up its link's reader for at most this
+/// long. A link idle between frames is not a stall and never times out.
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Transport error.
@@ -82,11 +95,11 @@ impl TcpError {
     }
 }
 
-/// Bounded-retry policy for [`send_to_retrying`]: exponential backoff
-/// starting at `base_backoff`, doubling per attempt.
+/// Bounded-retry policy for [`LinkPool::send_retrying`]: exponential
+/// backoff starting at `base_backoff`, doubling per attempt.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
-    /// Extra attempts after the first (0 = plain [`send_to`]).
+    /// Extra attempts after the first (0 = plain [`LinkPool::send`]).
     pub max_retries: u32,
     /// Sleep before the first retry; doubles each subsequent retry.
     pub base_backoff: Duration,
@@ -125,83 +138,203 @@ fn with_retries<T>(
     }
 }
 
-/// [`send_to`] with bounded retry + exponential backoff on transient
-/// failures. Connection-refused fails immediately (passive termination).
-pub fn send_to_retrying<A: ToSocketAddrs>(
-    addr: A,
-    msg: &Message,
-    policy: RetryPolicy,
-    on_retry: impl FnMut(u32),
-) -> Result<(), TcpError> {
-    with_retries(policy, on_retry, || send_to(&addr, msg))
+/// One message encoded for the wire: the big-endian length prefix and
+/// the payload in one buffer, so a single `write_all` puts the whole
+/// frame on the link.
+pub struct Frame {
+    bytes: Vec<u8>,
 }
 
-/// Sends one message to a peer endpoint: connect, frame, write, close.
-pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError> {
-    let mut stream = TcpStream::connect(addr)?;
-    let payload = encode_message(msg);
-    let len = u32::try_from(payload.len()).map_err(|_| TcpError::FrameTooLarge(u32::MAX))?;
-    if len > MAX_FRAME {
-        return Err(TcpError::FrameTooLarge(len));
-    }
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(&payload)?;
-    stream.flush()?;
-    Ok(())
-}
-
-/// Sends one raw, pre-encoded frame payload as-is: connect, length
-/// prefix, write, close. This is the fault-injection path — a chaos
-/// harness encodes a message, flips bytes, and ships the damaged frame
-/// so the receiver's `decode_message` error handling runs against a
-/// real socket. (A well-formed payload is equivalent to [`send_to`].)
-pub fn send_raw<A: ToSocketAddrs>(addr: A, payload: &[u8]) -> Result<(), TcpError> {
-    let mut stream = TcpStream::connect(addr)?;
-    let len = u32::try_from(payload.len()).map_err(|_| TcpError::FrameTooLarge(u32::MAX))?;
-    if len > MAX_FRAME {
-        return Err(TcpError::FrameTooLarge(len));
-    }
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()?;
-    Ok(())
-}
-
-/// Reads one framed message from a connected stream. The read is
-/// bounded by its own socket read timeout (the slowloris defence): a
-/// peer that connects and never finishes its frame surfaces as the
-/// transient [`TcpError::Timeout`] instead of hanging the reader.
-fn read_frame(stream: &mut TcpStream) -> Result<Message, TcpError> {
-    read_frame_with_timeout(stream, FRAME_READ_TIMEOUT)
-}
-
-fn read_frame_with_timeout(stream: &mut TcpStream, timeout: Duration) -> Result<Message, TcpError> {
-    stream.set_read_timeout(Some(timeout))?;
-    let stalled = |e: io::Error| {
-        if matches!(
-            e.kind(),
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-        ) {
-            TcpError::Timeout
-        } else {
-            TcpError::Io(e)
+impl Frame {
+    /// Encodes `msg`, failing with [`TcpError::FrameTooLarge`] past the
+    /// 16 MiB frame limit.
+    pub fn encode(msg: &Message) -> Result<Frame, TcpError> {
+        let mut bytes = Vec::with_capacity(128);
+        bytes.extend_from_slice(&[0; PREFIX]);
+        msg.encode(&mut bytes);
+        let len =
+            u32::try_from(bytes.len() - PREFIX).map_err(|_| TcpError::FrameTooLarge(u32::MAX))?;
+        if len > MAX_FRAME {
+            return Err(TcpError::FrameTooLarge(len));
         }
-    };
-    let mut len_bytes = [0u8; 4];
-    stream.read_exact(&mut len_bytes).map_err(stalled)?;
-    let len = u32::from_be_bytes(len_bytes);
-    if len > MAX_FRAME {
-        return Err(TcpError::FrameTooLarge(len));
+        bytes[..PREFIX].copy_from_slice(&len.to_be_bytes());
+        Ok(Frame { bytes })
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload).map_err(stalled)?;
-    Ok(decode_message(&payload)?)
+
+    /// The payload's length: the message's encoded size, which is what
+    /// the wire meter counts.
+    pub fn payload_len(&self) -> usize {
+        self.bytes.len() - PREFIX
+    }
+
+    /// Flips one payload byte and leaves the length prefix intact — the
+    /// fault-injection path. The receiver reads the whole frame, fails
+    /// to decode it and drops it, and the link carries on.
+    pub fn corrupt(&mut self) {
+        let mid = PREFIX + self.payload_len() / 2;
+        if let Some(byte) = self.bytes.get_mut(mid) {
+            *byte ^= 0xff;
+        }
+    }
 }
 
-/// A listening endpoint: accepts connections, decodes one message per
-/// connection, and delivers messages on a channel. Dropping (or calling
-/// [`close`](TcpEndpoint::close)) stops the listener — this is how a
-/// user-site terminates a query passively.
+/// Sends one message over a fresh connection: connect, write one frame,
+/// close. Daemons send over a [`LinkPool`] instead.
+pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError> {
+    let frame = Frame::encode(msg)?;
+    TcpStream::connect(addr)?.write_all(&frame.bytes)?;
+    Ok(())
+}
+
+/// One sender's long-lived links: a `TcpStream` per peer address, opened
+/// on first use with `TCP_NODELAY` set. A pool belongs to one sending
+/// thread, so a socket is never shared and each link's frames keep the
+/// order they were sent in.
+#[derive(Default)]
+pub struct LinkPool {
+    links: HashMap<SocketAddr, TcpStream>,
+}
+
+impl LinkPool {
+    /// An empty pool.
+    pub fn new() -> LinkPool {
+        LinkPool::default()
+    }
+
+    /// Writes `frame` to `addr` over its pooled link. A link whose peer
+    /// has closed or reset it is replaced by a fresh connection first, so
+    /// a send to a closed endpoint fails with connection refused — the
+    /// passive-termination signal. A failed write drops the link; the
+    /// next send reconnects.
+    pub fn send(&mut self, addr: SocketAddr, frame: &Frame) -> Result<(), TcpError> {
+        let mut stream = match self.links.remove(&addr) {
+            Some(stream) if peer_open(&stream) => stream,
+            _ => {
+                let stream = TcpStream::connect(addr)?;
+                stream.set_nodelay(true)?;
+                stream
+            }
+        };
+        stream.write_all(&frame.bytes)?;
+        self.links.insert(addr, stream);
+        Ok(())
+    }
+
+    /// [`LinkPool::send`] under `policy`: a transient failure reconnects
+    /// and retries with backoff, `on_retry(attempt)` firing before each
+    /// retry. Connection refused fails at once (passive termination).
+    pub fn send_retrying(
+        &mut self,
+        addr: SocketAddr,
+        frame: &Frame,
+        policy: RetryPolicy,
+        on_retry: impl FnMut(u32),
+    ) -> Result<(), TcpError> {
+        with_retries(policy, on_retry, || self.send(addr, frame))
+    }
+}
+
+/// True while nothing is readable on a pooled link. Readers never write
+/// back, so a readable link means EOF or a reset: the peer is gone.
+fn peer_open(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let idle = matches!(stream.peek(&mut [0u8; 1]),
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+    idle && stream.set_nonblocking(false).is_ok()
+}
+
+/// The read side of one link. Waiting for a frame's first byte is
+/// unbounded; once it arrives, the rest of the frame must follow within
+/// `stall_bound`. The socket's read timeout is armed only when a read
+/// must block mid-frame, so a link whose frames arrive whole costs no
+/// extra system calls.
+struct LinkReader {
+    stream: BufReader<SharedStream>,
+    stall_bound: Duration,
+    armed: bool,
+}
+
+/// An accepted link's socket, shared by its reader and the endpoint's
+/// registry, which only ever shuts it down.
+struct SharedStream(Arc<TcpStream>);
+
+impl Read for SharedStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        (&*self.0).read(buf)
+    }
+}
+
+impl LinkReader {
+    fn new(stream: Arc<TcpStream>, stall_bound: Duration) -> LinkReader {
+        LinkReader {
+            stream: BufReader::with_capacity(64 * 1024, SharedStream(stream)),
+            stall_bound,
+            armed: false,
+        }
+    }
+
+    /// Reads the next frame. EOF before a frame's first byte is an
+    /// [`io::ErrorKind::UnexpectedEof`] I/O error; a stall mid-frame is
+    /// the transient [`TcpError::Timeout`].
+    fn read_frame(&mut self) -> Result<Message, TcpError> {
+        self.arm(false)?;
+        loop {
+            match self.stream.fill_buf() {
+                Ok([]) => return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into()),
+                Ok(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        let mut len_bytes = [0u8; PREFIX];
+        self.read_exact(&mut len_bytes)?;
+        let len = u32::from_be_bytes(len_bytes);
+        if len > MAX_FRAME {
+            return Err(TcpError::FrameTooLarge(len));
+        }
+        let mut payload = vec![0u8; len as usize];
+        self.read_exact(&mut payload)?;
+        Ok(decode_message(&payload)?)
+    }
+
+    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), TcpError> {
+        if self.stream.buffer().len() < buf.len() {
+            self.arm(true)?;
+        }
+        self.stream.read_exact(buf).map_err(|e| {
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) {
+                TcpError::Timeout
+            } else {
+                TcpError::Io(e)
+            }
+        })
+    }
+
+    /// Sets the socket's read timeout to the stall bound (`on`) or to
+    /// none, skipping the system call when it is already so.
+    fn arm(&mut self, on: bool) -> io::Result<()> {
+        if self.armed != on {
+            let timeout = on.then_some(self.stall_bound);
+            self.stream.get_ref().0.set_read_timeout(timeout)?;
+            self.armed = on;
+        }
+        Ok(())
+    }
+}
+
+/// An endpoint's accepted links by id, each with its reader thread, so
+/// [`TcpEndpoint::close`] can shut every link down and join its reader.
+type Links = Arc<Mutex<HashMap<u64, (Arc<TcpStream>, JoinHandle<()>)>>>;
+
+/// A listening endpoint: accepts links, decodes their frames, and
+/// delivers messages on a channel. Dropping (or calling
+/// [`close`](TcpEndpoint::close)) stops the listener and closes every
+/// link — this is how a user-site terminates a query passively.
 pub struct TcpEndpoint {
     addr: SocketAddr,
     rx: Receiver<(Message, Instant)>,
@@ -210,6 +343,7 @@ pub struct TcpEndpoint {
     depth: Arc<AtomicUsize>,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
+    links: Links,
 }
 
 impl TcpEndpoint {
@@ -221,17 +355,24 @@ impl TcpEndpoint {
         let (tx, rx) = unbounded();
         let depth = Arc::new(AtomicUsize::new(0));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let depth_tx = Arc::clone(&depth);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("webdis-accept-{addr}"))
-            .spawn(move || accept_loop(listener, tx, depth_tx, flag))?;
+        let links: Links = Arc::default();
+        let accept_thread = {
+            let (depth, shutdown, links) = (
+                Arc::clone(&depth),
+                Arc::clone(&shutdown),
+                Arc::clone(&links),
+            );
+            std::thread::Builder::new()
+                .name(format!("webdis-accept-{addr}"))
+                .spawn(move || accept_loop(listener, tx, depth, shutdown, links))?
+        };
         Ok(TcpEndpoint {
             addr,
             rx,
             depth,
             shutdown,
             accept_thread: Some(accept_thread),
+            links,
         })
     }
 
@@ -270,9 +411,10 @@ impl TcpEndpoint {
         self.depth.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting connections and joins the listener thread. Any
-    /// peer that subsequently tries to [`send_to`] this endpoint gets a
-    /// connection error — the passive termination signal.
+    /// Stops accepting connections, shuts down every accepted link and
+    /// joins the listener and reader threads. A peer's next send to this
+    /// endpoint — over a pooled link or a fresh connection — fails with a
+    /// connection error: the passive termination signal.
     pub fn close(&mut self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -281,6 +423,14 @@ impl TcpEndpoint {
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
+        }
+        // The listener is gone, so no link joins the registry any more.
+        let links = std::mem::take(&mut *self.links.lock().unwrap_or_else(PoisonError::into_inner));
+        for (stream, _) in links.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        for (_, reader) in links.into_values() {
+            let _ = reader.join();
         }
     }
 }
@@ -296,13 +446,15 @@ fn accept_loop(
     tx: Sender<(Message, Instant)>,
     depth: Arc<AtomicUsize>,
     shutdown: Arc<AtomicBool>,
+    links: Links,
 ) {
+    let mut next_id = 0u64;
     for conn in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let mut stream = match conn {
-            Ok(s) => s,
+        let stream = match conn {
+            Ok(s) => Arc::new(s),
             Err(_) => {
                 // Persistent accept errors (EMFILE and friends) would
                 // otherwise busy-spin this thread at 100% CPU.
@@ -310,26 +462,51 @@ fn accept_loop(
                 continue;
             }
         };
-        // Each connection carries one frame; read it on a short-lived
-        // thread so a stalled sender cannot head-of-line-block every
-        // other peer for its 10 s read-timeout window.
-        let tx = tx.clone();
-        let depth = Arc::clone(&depth);
-        let _ = std::thread::Builder::new()
-            .name("webdis-conn".into())
+        let id = next_id;
+        next_id += 1;
+        let (tx, depth, registry, handle) = (
+            tx.clone(),
+            Arc::clone(&depth),
+            Arc::clone(&links),
+            Arc::clone(&stream),
+        );
+        // Each link gets its own reader thread, so a stalled sender
+        // cannot head-of-line-block other peers. The registry stays
+        // locked across the spawn, so the reader's exit-time removal
+        // always finds its entry.
+        let mut map = links.lock().expect("link registry poisoned");
+        let reader = std::thread::Builder::new()
+            .name("webdis-link".into())
             .spawn(move || {
-                // Decode errors and stalled peers just drop the frame
-                // (read_frame bounds the read itself), as a long-running
-                // daemon must survive garbage and slowloris input.
-                if let Ok(msg) = read_frame(&mut stream) {
-                    // Raise depth before the send so a receiver that
-                    // dequeues immediately never observes an undercount.
-                    depth.fetch_add(1, Ordering::SeqCst);
-                    if tx.send((msg, Instant::now())).is_err() {
-                        depth.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
+                read_link(LinkReader::new(stream, FRAME_READ_TIMEOUT), &tx, &depth);
+                registry.lock().expect("link registry poisoned").remove(&id);
             });
+        if let Ok(reader) = reader {
+            map.insert(id, (handle, reader));
+        }
+    }
+}
+
+/// Delivers one link's frames until it closes, stalls mid-frame or
+/// sends a bad length prefix. A frame that fails to decode is dropped
+/// and the link stays open: its length prefix was intact, so the next
+/// frame starts in the right place. A long-running daemon must survive
+/// garbage and slowloris input.
+fn read_link(mut link: LinkReader, tx: &Sender<(Message, Instant)>, depth: &AtomicUsize) {
+    loop {
+        match link.read_frame() {
+            Ok(msg) => {
+                // Raise depth before the send so a receiver that
+                // dequeues immediately never observes an undercount.
+                depth.fetch_add(1, Ordering::SeqCst);
+                if tx.send((msg, Instant::now())).is_err() {
+                    depth.fetch_sub(1, Ordering::SeqCst);
+                    return;
+                }
+            }
+            Err(TcpError::Wire(_)) => {}
+            Err(_) => return,
+        }
     }
 }
 
@@ -337,6 +514,7 @@ fn accept_loop(
 mod tests {
     use super::*;
     use crate::messages::{FetchRequest, FetchResponse};
+    use crate::wire::encode_message;
     use webdis_model::Url;
 
     fn fetch_msg(path: &str) -> Message {
@@ -345,6 +523,14 @@ mod tests {
             reply_host: "user".into(),
             reply_port: 9,
         })
+    }
+
+    fn frame(path: &str) -> Frame {
+        Frame::encode(&fetch_msg(path)).unwrap()
+    }
+
+    fn accepted_links(ep: &TcpEndpoint) -> usize {
+        ep.links.lock().unwrap().len()
     }
 
     #[test]
@@ -357,16 +543,28 @@ mod tests {
     }
 
     #[test]
-    fn multiple_messages_in_order_of_arrival() {
+    fn frame_payload_is_the_encoded_message() {
+        let msg = fetch_msg("/x");
+        let frame = Frame::encode(&msg).unwrap();
+        let payload = encode_message(&msg);
+        assert_eq!(frame.payload_len(), payload.len());
+        assert_eq!(&frame.bytes[PREFIX..], &payload[..]);
+        assert_eq!(frame.bytes[..PREFIX], (payload.len() as u32).to_be_bytes());
+    }
+
+    #[test]
+    fn thousand_frames_on_one_link_arrive_in_order() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        for i in 0..10 {
-            send_to(ep.local_addr(), &fetch_msg(&format!("/doc{i}"))).unwrap();
+        let mut pool = LinkPool::new();
+        for i in 0..1000 {
+            pool.send(ep.local_addr(), &frame(&format!("/doc{i}")))
+                .unwrap();
         }
-        let mut got = Vec::new();
-        for _ in 0..10 {
-            got.push(ep.recv_timeout(Duration::from_secs(5)).unwrap());
+        for i in 0..1000 {
+            let got = ep.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(got, fetch_msg(&format!("/doc{i}")), "frame {i}");
         }
-        assert_eq!(got.len(), 10);
+        assert_eq!(accepted_links(&ep), 1, "one link carried every frame");
     }
 
     #[test]
@@ -377,15 +575,19 @@ mod tests {
             url: Url::parse("http://h/big").unwrap(),
             html: Some(big),
         });
-        send_to(ep.local_addr(), &msg).unwrap();
+        let mut pool = LinkPool::new();
+        pool.send(ep.local_addr(), &Frame::encode(&msg).unwrap())
+            .unwrap();
         assert_eq!(ep.recv_timeout(Duration::from_secs(5)).unwrap(), msg);
     }
 
     #[test]
     fn queued_receive_reports_wait_and_depth() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let mut pool = LinkPool::new();
         for i in 0..3 {
-            send_to(ep.local_addr(), &fetch_msg(&format!("/doc{i}"))).unwrap();
+            pool.send(ep.local_addr(), &frame(&format!("/doc{i}")))
+                .unwrap();
         }
         // Wait until all three frames have been decoded and enqueued.
         let start = std::time::Instant::now();
@@ -416,6 +618,31 @@ mod tests {
     }
 
     #[test]
+    fn first_pooled_send_after_close_fails() {
+        let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let addr = ep.local_addr();
+        let mut pool = LinkPool::new();
+        pool.send(addr, &frame("/before")).unwrap();
+        assert_eq!(
+            ep.recv_timeout(Duration::from_secs(5)).unwrap(),
+            fetch_msg("/before")
+        );
+        ep.close();
+        // The pooled link is closed under the sender: its very next send
+        // must fail, not vanish into a dead socket — and refused is
+        // never retried.
+        let mut retries = 0;
+        let err = pool
+            .send_retrying(addr, &frame("/after"), RetryPolicy::default(), |_| {
+                retries += 1
+            })
+            .unwrap_err();
+        assert!(!err.is_transient(), "{err}");
+        assert_eq!(retries, 0, "passive termination must not be retried");
+        assert!(pool.send(addr, &frame("/again")).is_err());
+    }
+
+    #[test]
     fn close_is_idempotent() {
         let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         ep.close();
@@ -443,17 +670,44 @@ mod tests {
     }
 
     #[test]
-    fn stalled_peer_surfaces_as_transient_timeout() {
+    fn stall_mid_frame_surfaces_as_transient_timeout() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // A slowloris peer: sends the length prefix, never the payload.
-        let stalled = TcpStream::connect(addr).unwrap();
-        (&stalled).write_all(&64u32.to_be_bytes()).unwrap();
-        let (mut conn, _) = listener.accept().unwrap();
-        let err = read_frame_with_timeout(&mut conn, Duration::from_millis(50)).unwrap_err();
-        assert!(matches!(err, TcpError::Timeout), "{err}");
-        assert!(err.is_transient(), "a stalled peer is worth retrying");
-        drop(stalled);
+        // Slowloris peers: one stalls after the length prefix, one after
+        // the first byte of it.
+        for partial in [&64u32.to_be_bytes()[..], &[0u8][..]] {
+            let stalled = TcpStream::connect(addr).unwrap();
+            (&stalled).write_all(partial).unwrap();
+            let (conn, _) = listener.accept().unwrap();
+            let err = LinkReader::new(Arc::new(conn), Duration::from_millis(50))
+                .read_frame()
+                .unwrap_err();
+            assert!(matches!(err, TcpError::Timeout), "{err}");
+            assert!(err.is_transient(), "a stalled peer is worth retrying");
+        }
+    }
+
+    #[test]
+    fn idle_link_outlives_the_stall_bound() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sender = std::thread::spawn(move || {
+            let mut pool = LinkPool::new();
+            pool.send(addr, &frame("/first")).unwrap();
+            // Idle for three stall bounds between frames.
+            std::thread::sleep(Duration::from_millis(150));
+            pool.send(addr, &frame("/second")).unwrap();
+            pool
+        });
+        let (conn, _) = listener.accept().unwrap();
+        let mut link = LinkReader::new(Arc::new(conn), Duration::from_millis(50));
+        assert_eq!(link.read_frame().unwrap(), fetch_msg("/first"));
+        assert_eq!(link.read_frame().unwrap(), fetch_msg("/second"));
+        drop(sender.join().unwrap());
+        assert!(
+            matches!(link.read_frame(), Err(TcpError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "a closed link reads as EOF"
+        );
     }
 
     #[test]
@@ -461,15 +715,34 @@ mod tests {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         // Encode a real message, then flip a byte mid-payload — the
         // receiver's decode path must reject it and survive.
-        let mut payload = encode_message(&fetch_msg("/x"));
-        let mid = payload.len() / 2;
-        payload[mid] ^= 0xff;
-        send_raw(ep.local_addr(), &payload).unwrap();
-        // The endpoint still works afterwards; the damaged frame is gone.
+        let mut damaged = frame("/x");
+        damaged.corrupt();
+        let mut pool = LinkPool::new();
+        pool.send(ep.local_addr(), &damaged).unwrap();
+        // The same link still delivers; the damaged frame is gone.
         let msg = fetch_msg("/ok");
-        send_to(ep.local_addr(), &msg).unwrap();
+        pool.send(ep.local_addr(), &frame("/ok")).unwrap();
         assert_eq!(ep.recv_timeout(Duration::from_secs(5)).unwrap(), msg);
         assert!(ep.try_recv().is_none(), "corrupt frame must not deliver");
+        assert_eq!(accepted_links(&ep), 1, "the link survived the bad frame");
+    }
+
+    #[test]
+    fn oversized_length_prefix_closes_the_link() {
+        let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(ep.local_addr()).unwrap();
+        stream.write_all(&(MAX_FRAME + 1).to_be_bytes()).unwrap();
+        // The reader gives up on the link: the sender sees EOF.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0);
+        // The endpoint keeps serving other links.
+        send_to(ep.local_addr(), &fetch_msg("/ok")).unwrap();
+        assert_eq!(
+            ep.recv_timeout(Duration::from_secs(5)).unwrap(),
+            fetch_msg("/ok")
+        );
     }
 
     #[test]
@@ -535,20 +808,6 @@ mod tests {
         );
         assert!(out.is_err());
         assert_eq!(attempts, 1);
-    }
-
-    #[test]
-    fn send_to_retrying_hits_refused_immediately() {
-        // Bind-then-close gives a port with nothing listening: refused.
-        let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let addr = ep.local_addr();
-        ep.close();
-        let mut retries = 0;
-        let out = send_to_retrying(addr, &fetch_msg("/x"), RetryPolicy::default(), |_| {
-            retries += 1
-        });
-        assert!(out.is_err());
-        assert_eq!(retries, 0, "passive termination must not be retried");
     }
 
     #[test]
